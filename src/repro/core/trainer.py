@@ -138,18 +138,28 @@ class SkipGramTrainer:
 
         Consumes the trainer RNG (one permutation per relation, in pair-dict
         order, then one global shuffle) — the exact draw sequence of the
-        pre-refactor loop, so seeded runs stay bit-identical.
+        pre-refactor loop, so seeded runs stay bit-identical.  The shuffle
+        runs over ``(relation, order, start)`` slots, a list of the same
+        length as the batch list, so only the batches kept by the
+        ``max_batches_per_epoch`` cap are ever copied out of ``pairs``.
         """
         config = self.config
+        size = config.batch_size
         with self.profiler.stage("train.batching"):
-            batches: List[Tuple[str, np.ndarray]] = []
+            slots: List[Tuple[str, np.ndarray, int]] = []
             for relation, relation_pairs in pairs.items():
                 order = self._rng.permutation(len(relation_pairs))
-                for start in range(0, len(relation_pairs), config.batch_size):
-                    batches.append((relation, relation_pairs[order[start: start + config.batch_size]]))
-            self._rng.shuffle(batches)
+                slots.extend(
+                    (relation, order, start)
+                    for start in range(0, len(relation_pairs), size)
+                )
+            self._rng.shuffle(slots)
             if config.max_batches_per_epoch:
-                batches = batches[: config.max_batches_per_epoch]
+                slots = slots[: config.max_batches_per_epoch]
+            batches = [
+                (relation, pairs[relation][order[start: start + size]])
+                for relation, order, start in slots
+            ]
         return batches
 
     # -- update stage --------------------------------------------------

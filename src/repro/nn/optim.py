@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from collections import Counter
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -53,7 +54,21 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) — the optimiser the paper trains with."""
+    """Adam (Kingma & Ba, 2015) — the optimiser the paper trains with.
+
+    A tensor listed several times in ``params`` (a module shared between
+    parents) is stepped once per listing, as if each were its own
+    parameter.  Without weight decay those listings see the same gradient
+    from the same zero moments, so their moments stay bitwise equal: one
+    ``m``/``v`` pair per distinct tensor is kept, the update is computed
+    once and subtracted once per listing.  With weight decay the update
+    depends on the parameter, which moves between listings, so every
+    listing keeps its own moments.  :attr:`params` is the list as given.
+
+    The arithmetic runs in two scratch buffers sized to the largest
+    parameter, through the same ufuncs in the same order as the textbook
+    expressions, so no parameter-sized temporaries are allocated per step.
+    """
 
     def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
                  betas=(0.9, 0.999), eps: float = 1e-8, weight_decay: float = 0.0):
@@ -65,23 +80,46 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        # (tensor, listings) per moment pair, in order of first listing.
+        self._groups: List[Tuple[Parameter, int]]
+        if weight_decay:
+            self._groups = [(param, 1) for param in self.params]
+        else:
+            listings = Counter(id(param) for param in self.params)
+            distinct = {id(param): param for param in self.params}
+            self._groups = [(param, listings[key]) for key, param in distinct.items()]
+        self._m = [np.zeros_like(param.data) for param, _ in self._groups]
+        self._v = [np.zeros_like(param.data) for param, _ in self._groups]
+        largest = max(param.data.size for param in self.params)
+        buffers = (np.empty(largest), np.empty(largest))
+        # Per moment pair: two views of the shared buffers, shaped like it.
+        self._scratch = [
+            tuple(buffer[: param.data.size].reshape(param.data.shape) for buffer in buffers)
+            for param, _ in self._groups
+        ]
 
     def step(self) -> None:
         self._step += 1
         bias1 = 1.0 - self.beta1**self._step
         bias2 = 1.0 - self.beta2**self._step
-        for param, m, v in zip(self.params, self._m, self._v):
+        for (param, listings), m, v, (a, b) in zip(
+            self._groups, self._m, self._v, self._scratch
+        ):
             if param.grad is None:
                 continue
             grad = param.grad
             if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
+                # grad + weight_decay * param
+                grad = np.add(grad, np.multiply(self.weight_decay, param.data, out=a), out=a)
+            # m = beta1 * m + (1 - beta1) * grad
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += np.multiply(1.0 - self.beta1, grad, out=b)
+            # v = beta2 * v + (1 - beta2) * grad**2
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            v += np.multiply(1.0 - self.beta2, np.square(grad, out=b), out=b)
+            # update = lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            update = np.multiply(self.lr, np.divide(m, bias1, out=a), out=a)
+            denominator = np.add(np.sqrt(np.divide(v, bias2, out=b), out=b), self.eps, out=b)
+            np.divide(update, denominator, out=update)
+            for _ in range(listings):
+                param.data -= update

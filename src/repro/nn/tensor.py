@@ -592,6 +592,45 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out_data, tuple(tensors), backward, op="stack", attrs={"axis": axis})
 
 
+def _scatter_rows(weight: Tensor, indices: np.ndarray, grad: np.ndarray) -> None:
+    """Add the rows of ``grad`` into ``weight.grad[indices]`` at O(lookup) cost.
+
+    A lookup shorter than the table coalesces its rows first: ``np.add.at``
+    sums the gradient rows of each distinct index, in order of occurrence,
+    into a zero ``(n_unique, d)`` buffer, and the sums are then added into
+    ``weight.grad`` once per distinct row.  Every row therefore receives
+    ``grad_row + ((0 + a1) + a2)`` -- bit for bit what the dense
+    ``zeros_like(weight)`` scatter plus :meth:`Tensor._accumulate` computes.
+    Negative indices are wrapped before coalescing, so ``-1`` and
+    ``rows - 1`` are one row, as they are in the dense scatter.  A lookup
+    at least as long as the table runs that dense scatter itself: it is
+    O(lookup) there too, and skips the sort.  ``weight.grad`` stays dense.
+
+    Rows a coalesced lookup does not touch are left alone, where the dense
+    scatter added ``+0.0`` to them.  That keeps their value, and their bits
+    unless a row holds ``-0.0``, which adding ``+0.0`` turns into ``+0.0``.
+    Backward never produces a ``-0.0``: every ``.grad`` starts from
+    ``zeros_like`` and is only added to, and IEEE addition gives ``-0.0``
+    only from two ``-0.0`` operands.  Only a ``.grad`` assigned by hand can
+    tell the two apart, and then only in the sign of a zero.
+    """
+    if not weight.requires_grad:
+        return
+    rows, dim = weight.data.shape[0], weight.data.shape[-1]
+    flat = indices.reshape(-1)
+    if flat.size >= rows:
+        full = np.zeros_like(weight.data)
+        np.add.at(full, flat, grad.reshape(-1, dim))
+        weight._accumulate(full)
+        return
+    unique, inverse = np.unique(np.where(flat < 0, flat + rows, flat), return_inverse=True)
+    summed = np.zeros((len(unique), dim))
+    np.add.at(summed, inverse, grad.reshape(-1, dim))
+    if weight.grad is None:
+        weight.grad = np.zeros_like(weight.data)
+    weight.grad[unique] += summed
+
+
 def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     """Differentiable row gather: ``weight[indices]``.
 
@@ -605,9 +644,7 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     out_data = weight.data[indices]
 
     def backward(grad: np.ndarray) -> None:
-        full = np.zeros_like(weight.data)
-        np.add.at(full, indices.reshape(-1), grad.reshape(-1, weight.data.shape[-1]))
-        weight._accumulate(full)
+        _scatter_rows(weight, indices, grad)
 
     return Tensor._make(
         out_data,

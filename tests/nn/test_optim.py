@@ -90,3 +90,42 @@ class TestAdam:
     def test_rejects_bad_lr(self):
         with pytest.raises(ValueError):
             Adam([Parameter(np.ones(1))], lr=-1.0)
+
+
+class TestAdamAliases:
+    """A tensor listed k times steps bit-identically to the per-entry loop."""
+
+    @staticmethod
+    def run(optimizer_cls, weight_decay, steps=7, listings=3):
+        rng = np.random.default_rng(5)
+        shared = Parameter(rng.normal(size=(6, 4)))
+        other = Parameter(rng.normal(size=(3,)))
+        params = [shared, other] + [shared] * (listings - 1)
+        opt = optimizer_cls(params, lr=0.05, weight_decay=weight_decay)
+        for _ in range(steps):
+            shared.grad = rng.normal(size=shared.shape) * 10.0
+            other.grad = rng.normal(size=other.shape)
+            opt.step()
+        return opt, shared, other
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_bit_identical_to_per_entry_loop(self, weight_decay):
+        from repro.verify.parallel_oracles import _ReferenceAdam
+
+        _, shared, other = self.run(Adam, weight_decay)
+        _, ref_shared, ref_other = self.run(_ReferenceAdam, weight_decay)
+        assert shared.data.tobytes() == ref_shared.data.tobytes()
+        assert other.data.tobytes() == ref_other.data.tobytes()
+
+    def test_params_keep_every_listing(self):
+        opt, shared, other = self.run(Adam, 0.0, steps=1, listings=4)
+        expected = [shared, other, shared, shared, shared]
+        assert [id(p) for p in opt.params] == [id(p) for p in expected]
+
+    def test_one_moment_pair_per_distinct_tensor(self):
+        opt, _, _ = self.run(Adam, 0.0, steps=1, listings=4)
+        assert len(opt._m) == len(opt._v) == 2
+
+    def test_weight_decay_keeps_moments_per_listing(self):
+        opt, _, _ = self.run(Adam, 0.01, steps=1, listings=4)
+        assert len(opt._m) == len(opt._v) == 5

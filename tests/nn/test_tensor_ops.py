@@ -231,6 +231,102 @@ class TestSpecialOps:
         check_gradients(lambda: sparse_matmul(matrix, x).sum(), [x])
 
 
+class TestEmbeddingRowScatter:
+    """The row-scatter backward is bit-identical to the dense scatter."""
+
+    @staticmethod
+    def weight_grad(indices_list, monkeypatch=None):
+        """``weight.grad`` after backward through several lookups + a dense term."""
+        if monkeypatch is not None:
+            import repro.nn.tensor as tensor_module
+            from repro.verify.parallel_oracles import _reference_embedding_backward
+
+            monkeypatch.setattr(tensor_module, "_scatter_rows",
+                                _reference_embedding_backward)
+        rng = np.random.default_rng(11)
+        weight = Tensor(rng.normal(size=(9, 5)), requires_grad=True)
+        loss = (weight * 1.5).sum()
+        for indices in indices_list:
+            indices = np.asarray(indices, dtype=np.int64)
+            scale = Tensor(rng.normal(size=indices.shape + (5,)) * 1e3)
+            loss = loss + (embedding_lookup(weight, indices) * scale).sum()
+        loss.backward()
+        return weight.grad
+
+    def assert_bit_identical(self, indices_list, monkeypatch):
+        fast = self.weight_grad(indices_list)
+        reference = self.weight_grad(indices_list, monkeypatch)
+        assert np.array_equal(fast, reference)
+        assert fast.tobytes() == reference.tobytes()
+
+    def test_repeats_within_and_across_lookups(self, monkeypatch):
+        self.assert_bit_identical(
+            [[3, 1, 3, 3, 7], [1, 1, 8, 3], [7, 0, 3, 1, 1, 1]], monkeypatch
+        )
+
+    def test_two_dimensional_indices(self, monkeypatch):
+        self.assert_bit_identical(
+            [[[2, 4, 2], [4, 4, 0]], [[2], [2]], [4, 6]], monkeypatch
+        )
+
+    def test_empty_lookup(self, monkeypatch):
+        self.assert_bit_identical([[], [5, 5], np.zeros((0, 3))], monkeypatch)
+
+    def test_negative_indices_coalesce_with_their_row(self, monkeypatch):
+        self.assert_bit_identical([[-1, 8, -1, 2], [8, -9, 0]], monkeypatch)
+
+    def test_lookups_longer_than_the_table(self, monkeypatch):
+        # At least as many entries as rows: the dense branch.
+        self.assert_bit_identical(
+            [[0, 8, -1, 3, 3, 5, 8, -9, 2, 2, 7], [[1, 1, 1], [4, -5, 4], [6, 6, 0]]],
+            monkeypatch,
+        )
+
+    @staticmethod
+    def relu_grad(signed_zero_grad, monkeypatch=None):
+        """``weight.grad`` when rows 5-8 are touched only by a relu term."""
+        if monkeypatch is not None:
+            import repro.nn.tensor as tensor_module
+            from repro.verify.parallel_oracles import _reference_embedding_backward
+
+            monkeypatch.setattr(tensor_module, "_scatter_rows",
+                                _reference_embedding_backward)
+        weight = Tensor(-np.abs(np.random.default_rng(4).normal(size=(9, 5))),
+                        requires_grad=True)
+        if signed_zero_grad:
+            weight.grad = np.full(weight.shape, -0.0)
+        # relu's mask-multiply backward with a negative upstream: -1.0 * 0.
+        loss = (weight.relu() * -1.0).sum()
+        loss = loss + (embedding_lookup(weight, np.array([0, 4, 4, 2, 1, 3, 3])) * 3.0).sum()
+        loss.backward()
+        return weight.grad
+
+    def test_backward_never_leaves_negative_zero(self, monkeypatch):
+        fast = self.relu_grad(False)
+        reference = self.relu_grad(False, monkeypatch)
+        assert not np.signbit(fast[5:]).any()
+        assert fast.tobytes() == reference.tobytes()
+
+    def test_assigned_negative_zero_differs_only_in_sign(self, monkeypatch):
+        from repro.nn import Parameter
+        from repro.nn.optim import Adam
+
+        fast = self.relu_grad(True)
+        reference = self.relu_grad(True, monkeypatch)
+        assert np.array_equal(fast, reference)
+        assert fast[:5].tobytes() == reference[:5].tobytes()
+        assert np.signbit(fast[5:]).all() and not np.signbit(reference[5:]).any()
+        stepped = []
+        for grad in (fast, reference):
+            param = Parameter(np.linspace(-1.0, 1.0, 45).reshape(9, 5))
+            opt = Adam([param, param], lr=0.1)
+            for _ in range(3):
+                param.grad = grad.copy()
+                opt.step()
+            stepped.append(param.data.tobytes())
+        assert stepped[0] == stepped[1]
+
+
 class TestBackwardSemantics:
     def test_requires_scalar_output(self):
         a = make((3,), 1)
